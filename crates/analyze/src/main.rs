@@ -186,7 +186,7 @@ golden = "wire_layout.golden"
         .unwrap();
         std::fs::write(
             src.join("protocol.rs"),
-            "const KIND_PING: u8 = 0;\nfn stats_values(s: &S) -> [u64; 1] { [s.requests] }\nfn enc(r: &Response) { match r { Response::Stats(s) => { for v in [s.requests] { use_(v); } } } }\n",
+            "const KIND_PING: u8 = 0;\nfn stats_values(s: &mut S) -> [&mut u64; 1] { [&mut s.requests] }\n",
         )
         .unwrap();
         std::fs::write(

@@ -387,35 +387,53 @@ pub fn aggregate_tables(tables: &[TableResult]) -> TableResult {
 /// Formats results in the paper's layout: rows = injected defect, columns
 /// = (model × reported ratio).
 pub fn render_table(result: &TableResult) -> String {
+    const MODELS: [&str; 4] = ["LeNet", "AlexNet", "ResNet", "DenseNet"];
+    const LABEL_W: usize = 17;
+    // One model cell: three ratios plus the miss mark. Header, data and
+    // `(missing)` cells all pad to it, so every `|` of the grid lines up.
+    const CELL_W: usize = 16;
+    let grid_line = |label: &str, cells: &[String]| {
+        let mut line = format!("{label:<LABEL_W$}|");
+        for cell in cells {
+            line.push_str(&format!("{cell:<CELL_W$}|"));
+        }
+        line.push('\n');
+        line
+    };
+    let dataset_w = 2 * CELL_W + 1;
     let mut out = String::new();
     out.push_str("RESULTS ON DL MODELS WITH INJECTED DEFECTS (reproduction of Table I)\n");
-    out.push_str("                 |        synth-digits         |        synth-objects        \n");
-    out.push_str("Injected         |    LeNet     |   AlexNet    |    ResNet    |   DenseNet   \n");
-    out.push_str("                 | ITD  UTD  SD | ITD  UTD  SD | ITD  UTD  SD | ITD  UTD  SD \n");
-    out.push_str(&"-".repeat(78));
+    out.push_str(&format!(
+        "{:LABEL_W$}|{:^dataset_w$}|{:^dataset_w$}|\n",
+        "", "synth-digits", "synth-objects"
+    ));
+    let model_heads: Vec<String> = MODELS.iter().map(|m| format!("{m:^CELL_W$}")).collect();
+    out.push_str(&grid_line("Injected", &model_heads));
+    let ratio_heads = format!(" {:<4} {:<4} {:<4}", "ITD", "UTD", "SD");
+    out.push_str(&grid_line("", &vec![ratio_heads; MODELS.len()]));
+    out.push_str(&"-".repeat(LABEL_W + MODELS.len() * (CELL_W + 1)));
     out.push('\n');
     for injected in ["ITD", "UTD", "SD"] {
-        let mut row = format!("{injected:<17}|");
-        for model in ["LeNet", "AlexNet", "ResNet", "DenseNet"] {
-            let cell = result
-                .cells
-                .iter()
-                .find(|c| c.injected == injected && c.model == model);
-            match cell {
-                Some(c) => {
-                    row.push_str(&format!(
-                        " {:.2} {:.2} {:.2}{}|",
+        let cells: Vec<String> = MODELS
+            .iter()
+            .map(|&model| {
+                let cell = result
+                    .cells
+                    .iter()
+                    .find(|c| c.injected == injected && c.model == model);
+                match cell {
+                    Some(c) => format!(
+                        " {:.2} {:.2} {:.2}{}",
                         c.ratios[0],
                         c.ratios[1],
                         c.ratios[2],
-                        if c.correct { " " } else { "!" }
-                    ));
+                        if c.correct { "" } else { "!" }
+                    ),
+                    None => format!("{:^CELL_W$}", "(missing)"),
                 }
-                None => row.push_str("      (missing)     |"),
-            }
-        }
-        out.push_str(&row);
-        out.push('\n');
+            })
+            .collect();
+        out.push_str(&grid_line(injected, &cells));
     }
     out.push_str(&format!(
         "diagonal accuracy: {:.0}% ({} of {} cells; '!' marks misses)\n",
@@ -473,5 +491,42 @@ mod tests {
         let s = render_table(&table);
         assert!(s.contains("0.70 0.20 0.10"));
         assert!(s.contains("diagonal accuracy"));
+    }
+
+    #[test]
+    fn render_aligns_every_grid_separator() {
+        let cell = |model: &str, injected: &str, reported: &str| CellResult {
+            model: model.into(),
+            dataset: "synth-digits".into(),
+            injected: injected.into(),
+            ratios: [0.7, 0.2, 0.1],
+            reported: reported.into(),
+            correct: injected == reported,
+            test_accuracy: 0.8,
+            faulty_cases: 50,
+            model_health: 0.9,
+        };
+        let table = TableResult {
+            // A hit and a miss (`!`); every other cell renders `(missing)`.
+            cells: vec![cell("LeNet", "ITD", "ITD"), cell("AlexNet", "ITD", "SD")],
+        };
+        let s = render_table(&table);
+        assert!(s.contains("0.10!") && s.contains("(missing)"), "{s}");
+        let bars = |line: &str| -> Vec<usize> {
+            line.char_indices()
+                .filter(|&(_, ch)| ch == '|')
+                .map(|(i, _)| i)
+                .collect()
+        };
+        let grid: Vec<&str> = s.lines().filter(|l| l.contains('|')).collect();
+        // Dataset header, model header, ratio header, three data rows.
+        assert_eq!(grid.len(), 6, "{s}");
+        let columns = bars(grid[1]);
+        assert_eq!(columns.len(), 5, "{s}");
+        for line in &grid[1..] {
+            assert_eq!(bars(line), columns, "misaligned grid line {line:?}\n{s}");
+        }
+        // The dataset header spans two model cells: its bars are a subset.
+        assert!(bars(grid[0]).iter().all(|c| columns.contains(c)), "{s}");
     }
 }

@@ -415,57 +415,33 @@ pub fn encode_request(id: u64, request: &Request) -> Vec<u8> {
     finish(kind, id, w)
 }
 
-/// Serving-counter values in their canonical wire order (the order the
-/// `Stats` frame has always used; the telemetry payload prefixes it with
-/// a count so the list can grow).
-fn stats_values(s: &StatsSnapshot) -> [u64; 20] {
+/// The serving counters in their canonical wire order — the one list both
+/// directions share. Encoders read through the slots, decoders fill them.
+/// The `Stats` frame writes them bare; the telemetry payload prefixes a
+/// count so the list can grow.
+fn stats_values(s: &mut StatsSnapshot) -> [&mut u64; 20] {
     [
-        s.requests,
-        s.rows,
-        s.batches,
-        s.coalesced_batches,
-        s.errors,
-        s.busy_rejections,
-        s.diagnoses,
-        s.probe_trainings,
-        s.repairs,
-        s.swaps,
-        s.expired,
-        s.worker_panics,
-        s.rollbacks,
-        s.conn_rejections,
-        s.active_connections,
-        s.conns_accepted,
-        s.conns_closed,
-        s.outbound_hwm_bytes,
-        s.loop_wakeups,
-        s.accept_backoffs,
+        &mut s.requests,
+        &mut s.rows,
+        &mut s.batches,
+        &mut s.coalesced_batches,
+        &mut s.errors,
+        &mut s.busy_rejections,
+        &mut s.diagnoses,
+        &mut s.probe_trainings,
+        &mut s.repairs,
+        &mut s.swaps,
+        &mut s.expired,
+        &mut s.worker_panics,
+        &mut s.rollbacks,
+        &mut s.conn_rejections,
+        &mut s.active_connections,
+        &mut s.conns_accepted,
+        &mut s.conns_closed,
+        &mut s.outbound_hwm_bytes,
+        &mut s.loop_wakeups,
+        &mut s.accept_backoffs,
     ]
-}
-
-fn stats_from_values(values: &[u64; 20]) -> StatsSnapshot {
-    StatsSnapshot {
-        requests: values[0],
-        rows: values[1],
-        batches: values[2],
-        coalesced_batches: values[3],
-        errors: values[4],
-        busy_rejections: values[5],
-        diagnoses: values[6],
-        probe_trainings: values[7],
-        repairs: values[8],
-        swaps: values[9],
-        expired: values[10],
-        worker_panics: values[11],
-        rollbacks: values[12],
-        conn_rejections: values[13],
-        active_connections: values[14],
-        conns_accepted: values[15],
-        conns_closed: values[16],
-        outbound_hwm_bytes: values[17],
-        loop_wakeups: values[18],
-        accept_backoffs: values[19],
-    }
 }
 
 /// Sparse histogram encoding: total bucket count, then `(index, count)`
@@ -498,10 +474,11 @@ fn read_histogram(r: &mut ByteReader<'_>) -> CodecResult<HistogramSnapshot> {
 }
 
 fn write_telemetry_payload(w: &mut ByteWriter, t: &TelemetryReport) {
-    let counters = stats_values(&t.stats);
+    let mut stats = t.stats;
+    let counters = stats_values(&mut stats);
     w.put_u64(counters.len() as u64);
     for v in counters {
-        w.put_u64(v);
+        w.put_u64(*v);
     }
     w.put_u8(u8::from(t.armed));
     write_histogram(w, &t.snapshot.request_us);
@@ -538,13 +515,16 @@ fn read_telemetry_payload(r: &mut ByteReader<'_>) -> CodecResult<TelemetryReport
     // without breaking this decoder — unknown trailing counters are
     // consumed and dropped.
     let counter_count = r.get_len("telemetry counter count")?;
-    let mut counters = [0u64; 20];
-    for slot in 0..counter_count {
+    let mut stats = StatsSnapshot::default();
+    let mut slots = stats_values(&mut stats).into_iter();
+    for _ in 0..counter_count {
         let value = r.get_u64("telemetry counter")?;
-        if slot < counters.len() {
-            counters[slot] = value;
+        if let Some(slot) = slots.next() {
+            *slot = value;
         }
     }
+    // The slots borrow `stats`, which moves into the report below.
+    drop(slots);
     let armed = r.get_u8("telemetry armed")? != 0;
     let request_us = read_histogram(r)?;
     let stage_count = r.get_len("telemetry stage count")?;
@@ -603,7 +583,7 @@ fn read_telemetry_payload(r: &mut ByteReader<'_>) -> CodecResult<TelemetryReport
         });
     }
     Ok(TelemetryReport {
-        stats: stats_from_values(&counters),
+        stats,
         armed,
         snapshot: TelemetrySnapshot {
             request_us,
@@ -651,29 +631,9 @@ pub fn encode_response(id: u64, response: &Response) -> Vec<u8> {
             RESPONSE_BIT | KIND_DIAGNOSE
         }
         Response::Stats(s) => {
-            for v in [
-                s.requests,
-                s.rows,
-                s.batches,
-                s.coalesced_batches,
-                s.errors,
-                s.busy_rejections,
-                s.diagnoses,
-                s.probe_trainings,
-                s.repairs,
-                s.swaps,
-                s.expired,
-                s.worker_panics,
-                s.rollbacks,
-                s.conn_rejections,
-                s.active_connections,
-                s.conns_accepted,
-                s.conns_closed,
-                s.outbound_hwm_bytes,
-                s.loop_wakeups,
-                s.accept_backoffs,
-            ] {
-                w.put_u64(v);
+            let mut s = *s;
+            for v in stats_values(&mut s) {
+                w.put_u64(*v);
             }
             RESPONSE_BIT | KIND_STATS
         }
@@ -840,28 +800,13 @@ pub fn decode_response(frame: &[u8]) -> CodecResult<(u64, Response)> {
             report_json: r.get_str("report json")?,
             cases: r.get_u64("report cases")?,
         }),
-        k if k == RESPONSE_BIT | KIND_STATS => Response::Stats(StatsSnapshot {
-            requests: r.get_u64("stats")?,
-            rows: r.get_u64("stats")?,
-            batches: r.get_u64("stats")?,
-            coalesced_batches: r.get_u64("stats")?,
-            errors: r.get_u64("stats")?,
-            busy_rejections: r.get_u64("stats")?,
-            diagnoses: r.get_u64("stats")?,
-            probe_trainings: r.get_u64("stats")?,
-            repairs: r.get_u64("stats")?,
-            swaps: r.get_u64("stats")?,
-            expired: r.get_u64("stats")?,
-            worker_panics: r.get_u64("stats")?,
-            rollbacks: r.get_u64("stats")?,
-            conn_rejections: r.get_u64("stats")?,
-            active_connections: r.get_u64("stats")?,
-            conns_accepted: r.get_u64("stats")?,
-            conns_closed: r.get_u64("stats")?,
-            outbound_hwm_bytes: r.get_u64("stats")?,
-            loop_wakeups: r.get_u64("stats")?,
-            accept_backoffs: r.get_u64("stats")?,
-        }),
+        k if k == RESPONSE_BIT | KIND_STATS => {
+            let mut s = StatsSnapshot::default();
+            for v in stats_values(&mut s) {
+                *v = r.get_u64("stats")?;
+            }
+            Response::Stats(s)
+        }
         k if k == RESPONSE_BIT | KIND_REPAIR => {
             let plan = r.get_str("repair plan")?;
             let cases = r.get_u64("repair cases")?;
@@ -1273,6 +1218,49 @@ mod tests {
                 u64::from_le_bytes(chunk.try_into().unwrap()),
                 i as u64 + 1,
                 "counter {i} moved"
+            );
+        }
+    }
+
+    /// Catches two swapped loads in `ServeStats::snapshot`: the counter
+    /// stored for golden slot `i` must come out at body offset `9 + 8*i`.
+    #[test]
+    fn serve_stats_snapshot_keeps_each_counter_in_its_slot() {
+        use std::sync::atomic::Ordering;
+        let stats = crate::batch::ServeStats::default();
+        let golden_order = [
+            &stats.requests,
+            &stats.rows,
+            &stats.batches,
+            &stats.coalesced_batches,
+            &stats.errors,
+            &stats.busy_rejections,
+            &stats.diagnoses,
+            &stats.probe_trainings,
+            &stats.repairs,
+            &stats.swaps,
+            &stats.expired,
+            &stats.worker_panics,
+            &stats.rollbacks,
+            &stats.conn_rejections,
+            &stats.conns_active,
+            &stats.conns_accepted,
+            &stats.conns_closed,
+            &stats.outbound_hwm_bytes,
+            &stats.loop_wakeups,
+            &stats.accept_backoffs,
+        ];
+        for (i, counter) in golden_order.iter().enumerate() {
+            counter.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let wire = encode_response(5, &Response::Stats(stats.snapshot()));
+        let body = open_container(FRAME_MAGIC, strip_prefix(&wire)).unwrap();
+        for i in 0..golden_order.len() {
+            let at = 9 + 8 * i;
+            assert_eq!(
+                u64::from_le_bytes(body[at..at + 8].try_into().unwrap()),
+                i as u64 + 1,
+                "slot {i} (byte offset {at})"
             );
         }
     }

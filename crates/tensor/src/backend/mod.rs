@@ -1,15 +1,15 @@
 //! Pluggable compute backends behind one typed kernel API.
 //!
-//! Every dense product in the workspace — the matmul family, the im2col'd
-//! convolution, and the elementwise activation/bias kernels — dispatches
-//! through the [`Backend`] trait. The descriptor every backend consumes is
+//! Every dense product in the workspace — the matmul family and the
+//! im2col'd convolution — dispatches through the [`Backend`] trait's one
+//! kernel, [`Backend::gemm`]. The descriptor every backend consumes is
 //! a [`GemmSpec`]: dimensions plus per-operand [`MatLayout`]s and a
 //! fan-out hint, replacing the historical `(a_transposed, b_transposed)`
 //! boolean-flag call surface. The raw kernel entry points are private to
 //! this crate; [`Tensor`]'s `matmul*` methods and
 //! [`ComputeCtx`] are the only ways in.
 //!
-//! Three implementations exist:
+//! Two implementations exist:
 //!
 //! * [`ScalarBackend`] — the default and the **bitwise reference**. It is
 //!   the PR 2 cache-blocked, B-panel-packed kernel with the pinned
@@ -22,9 +22,6 @@
 //!   FMA with per-tile partial sums), so results match the scalar backend
 //!   to documented ULP bounds, not bitwise — see
 //!   `crates/tensor/tests/backend_conformance.rs`.
-//! * Elementwise ops (`relu_inplace`, `bias_add_rows`) are pure per-element
-//!   maps: every backend produces bitwise-identical results for them by
-//!   construction.
 //!
 //! # Selection
 //!
@@ -191,48 +188,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     ///
     /// Panics if slice lengths disagree with the spec.
     fn gemm(&self, spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]);
-
-    /// The im2col'd convolution product: `cols[m, k] @ weight[n, k]ᵀ`,
-    /// where `m = batch · output positions`, `k` is the patch length, and
-    /// `n` the output channels. Default: exactly [`Backend::gemm`] with an
-    /// `nt` spec — the lowering *is* a GEMM; a backend only overrides this
-    /// to fuse packing with the gather.
-    fn conv_cols_gemm(&self, spec: &GemmSpec, cols: &[f32], weight: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(
-            spec.rhs,
-            MatLayout::Transposed,
-            "conv weight is [out_c, patch]"
-        );
-        self.gemm(spec, cols, weight, out);
-    }
-
-    /// Elementwise `x[i] = max(x[i], 0)`. Pure per-element map: every
-    /// backend is bitwise-identical here.
-    fn relu_inplace(&self, x: &mut [f32]) {
-        for v in x.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-    }
-
-    /// Adds `bias` to every `bias.len()`-sized row of `x`. Pure
-    /// per-element map: every backend is bitwise-identical here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` is not a multiple of `bias.len()`.
-    fn bias_add_rows(&self, x: &mut [f32], bias: &[f32]) {
-        if bias.is_empty() {
-            return;
-        }
-        assert_eq!(x.len() % bias.len(), 0, "bias_add_rows: ragged rows");
-        for row in x.chunks_exact_mut(bias.len()) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-    }
 }
 
 /// Shared, cheaply clonable handle to a backend.
@@ -552,19 +507,6 @@ mod tests {
             &mut got,
         );
         assert_eq!(expect, got);
-    }
-
-    #[test]
-    fn elementwise_defaults() {
-        let mut x = vec![-1.0f32, 0.0, 2.5, -0.0];
-        ScalarBackend.relu_inplace(&mut x);
-        assert_eq!(x, vec![0.0, 0.0, 2.5, -0.0]);
-
-        let mut y = vec![1.0f32, 2.0, 3.0, 4.0];
-        ScalarBackend.bias_add_rows(&mut y, &[10.0, 20.0]);
-        assert_eq!(y, vec![11.0, 22.0, 13.0, 24.0]);
-        ScalarBackend.bias_add_rows(&mut y, &[]);
-        assert_eq!(y, vec![11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]
