@@ -31,7 +31,8 @@
 //! deployment to i8 through the gated production path
 //! (`Server::promote_quantized` must clear the held-out accuracy gate),
 //! then measures the paper-scale AlexNet server at f32 vs the i8
-//! replica mode; full mode records the p50 cut in `BENCH_serve.json`
+//! replica mode, both on the fastest backend (`BackendKind::Auto`);
+//! full mode records the p50 cut in `BENCH_serve.json`
 //! (and asserts it is positive when the SIMD backend is active — build
 //! with `--features simd` for the representative numbers).
 //!
@@ -447,8 +448,10 @@ struct QuantResult {
 /// asserts it cleared.
 ///
 /// **Measure** — the paper-scale AlexNet server every other level uses,
-/// measured twice at the same concurrency: default (bitwise f32) serving
-/// vs the same registry switched to the i8 replica mode. The dense tail
+/// measured twice at the same concurrency: f32 serving on the fastest
+/// backend (`BackendKind::Auto`, the control) vs the same registry
+/// switched to the i8 replica mode on that backend, so the two runs
+/// differ only in precision. The dense tail
 /// dominates this model — the regime the integer kernel targets; the
 /// tiny fixture LeNet would mostly measure per-row activation
 /// quantization overhead instead.
@@ -466,7 +469,13 @@ fn quantized_serving(concurrency: usize, total_requests: usize) -> QuantResult {
     srv.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    let f32_run = measure_mode(32, 1, concurrency, total_requests, None);
+    let f32_run = measure_mode(
+        32,
+        1,
+        concurrency,
+        total_requests,
+        Some((Precision::F32, BackendKind::Auto)),
+    );
     let quant_run = measure_mode(
         32,
         1,
@@ -802,6 +811,13 @@ fn main() {
                     } else {
                         "scalar"
                     }),
+                ),
+                (
+                    "control",
+                    Json::str(format!(
+                        "f32 on {}",
+                        deepmorph_tensor::backend::select(BackendKind::Auto).name()
+                    )),
                 ),
                 ("accuracy_f32", Json::num(f64::from(quant.accuracy_f32))),
                 (

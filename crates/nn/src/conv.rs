@@ -1,7 +1,7 @@
 //! 2-D convolution layer (im2col-lowered).
 
 use deepmorph_tensor::backend::quant::{self, Precision, QuantizedMat};
-use deepmorph_tensor::backend::ComputeCtx;
+use deepmorph_tensor::backend::{ComputeCtx, PackedRhs};
 use deepmorph_tensor::conv::{col2im_mapped_into, im2col_mapped_into, Conv2dGeometry, Im2colMap};
 use deepmorph_tensor::{init::Init, workspace, Tensor};
 use rand::Rng;
@@ -17,7 +17,9 @@ use crate::{NnError, Result};
 /// patch matrix. The geometry and its im2col gather table are computed once
 /// per layer instance; per-batch buffers are drawn from (and recycled to)
 /// the thread's workspace arena, so a warm train step performs no heap
-/// allocations.
+/// allocations. Eval-mode f32/f16 forwards run against the weights packed
+/// once for the bound backend; every weight or context change drops the
+/// packed copy.
 #[derive(Debug)]
 pub struct Conv2d {
     name: String,
@@ -29,6 +31,11 @@ pub struct Conv2d {
     cached_batch: usize,
     ctx: ComputeCtx,
     qweight: Option<QuantizedMat>,
+    /// `weight` packed for `ctx`'s backend by the first eval-mode f32/f16
+    /// forward; dropped by everything that can change the weights or the
+    /// backend ([`Layer::visit_params`], [`Layer::bind_compute`],
+    /// [`Layer::apply_precision`]).
+    packed_weight: Option<PackedRhs<'static>>,
 }
 
 impl Conv2d {
@@ -85,6 +92,7 @@ impl Conv2d {
             cached_batch: 0,
             ctx: ComputeCtx::default(),
             qweight: None,
+            packed_weight: None,
         })
     }
 
@@ -98,15 +106,18 @@ impl Conv2d {
         [self.geo.out_channels, self.geo.out_h, self.geo.out_w]
     }
 
-    /// Permutes `[n*positions, out_c]` to NCHW `[n, out_c, oh, ow]`.
+    /// Permutes `[n*positions, out_c]` to NCHW `[n, out_c, oh, ow]`,
+    /// adding the bias on the way (`img[ch·positions + p] = v + bias[ch]`,
+    /// the same add a separate broadcast pass would make).
     ///
-    /// Per-sample pure permutation, so the batch loop splits over threads
-    /// (bitwise exact) via [`deepmorph_tensor::chunks`]. Every output
-    /// element is written, so the buffer is a raw workspace checkout.
+    /// Per-sample, so the batch loop splits over threads (bitwise exact)
+    /// via [`deepmorph_tensor::chunks`]. Every output element is written,
+    /// so the buffer is a raw workspace checkout.
     fn cols_to_nchw(&self, y: &Tensor, n: usize) -> Tensor {
         let (oc, positions) = (self.geo.out_channels, self.geo.out_positions());
         let mut out = workspace::tensor_raw(&[n, oc, self.geo.out_h, self.geo.out_w]);
         let src = y.data();
+        let bias = self.bias.value.data();
         deepmorph_tensor::chunks::for_chunks_mut(
             out.data_mut(),
             oc * positions,
@@ -114,13 +125,21 @@ impl Conv2d {
             |i, img| {
                 for p in 0..positions {
                     let row = &src[(i * positions + p) * oc..(i * positions + p + 1) * oc];
-                    for (ch, &v) in row.iter().enumerate() {
-                        img[ch * positions + p] = v;
+                    for (ch, (&v, &b)) in row.iter().zip(bias).enumerate() {
+                        img[ch * positions + p] = v + b;
                     }
                 }
             },
         );
         out
+    }
+
+    /// Returns the packed weight (if any) to the workspace arena; the next
+    /// eval forward packs the current weights again.
+    fn drop_packed_weight(&mut self) {
+        if let Some(packed) = self.packed_weight.take() {
+            packed.recycle();
+        }
     }
 
     /// Permutes NCHW gradients back to `[n*positions, out_c]` (the inverse
@@ -157,17 +176,22 @@ impl Layer for Conv2d {
         let mut cols = workspace::tensor_raw(&[n * self.geo.out_positions(), self.geo.patch_len()]);
         im2col_mapped_into(x, &self.map, cols.data_mut())?;
         // [n*positions, patch] @ [out_c, patch]^T -> [n*positions, out_c]
-        let quantized = self.qweight.as_ref().filter(|_| mode == Mode::Eval);
-        let mut y = match quantized {
-            Some(q) => {
+        let y = match (mode, &self.qweight) {
+            (Mode::Eval, Some(q)) => {
                 let m = n * self.geo.out_positions();
                 let mut y = workspace::tensor_raw(&[m, self.geo.out_channels]);
                 quant::qgemm_nt(cols.data(), q, y.data_mut(), m);
                 y
             }
-            None => self.ctx.matmul_nt(&cols, &self.weight.value)?,
+            (Mode::Eval, None) => {
+                let packed = match &mut self.packed_weight {
+                    Some(packed) => packed,
+                    slot => slot.insert(self.ctx.pack_nt(&self.weight.value)?),
+                };
+                self.ctx.matmul_nt_packed(&cols, packed)?
+            }
+            (Mode::Train, _) => self.ctx.matmul_nt(&cols, &self.weight.value)?,
         };
-        y.add_row_broadcast(&self.bias.value)?;
         let out = self.cols_to_nchw(&y, n);
         workspace::recycle_tensor(y);
         if mode == Mode::Train {
@@ -207,6 +231,7 @@ impl Layer for Conv2d {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.drop_packed_weight();
         visitor(&mut self.weight);
         visitor(&mut self.bias);
     }
@@ -216,10 +241,12 @@ impl Layer for Conv2d {
     }
 
     fn bind_compute(&mut self, ctx: &ComputeCtx) {
+        self.drop_packed_weight();
         self.ctx = ctx.clone();
     }
 
     fn apply_precision(&mut self, precision: Precision) -> Result<()> {
+        self.drop_packed_weight();
         match precision {
             Precision::F32 => self.qweight = None,
             Precision::F16 => {
@@ -285,13 +312,19 @@ mod tests {
         perturb_weight: bool,
     ) -> f32 {
         let read = |layer: &mut Conv2d, x: &Tensor| layer.forward(&[x], Mode::Eval).unwrap().sum();
+        // Weights change through `visit_params`, as an optimizer's do, so
+        // the eval forward's packed copy is dropped.
         let bump = |layer: &mut Conv2d, x: &mut Tensor, delta: f32| {
-            let buf = if perturb_weight {
-                layer.weight.value.data_mut()
+            if perturb_weight {
+                let mut first = true;
+                layer.visit_params(&mut |p| {
+                    if std::mem::take(&mut first) {
+                        p.value.data_mut()[i] += delta;
+                    }
+                });
             } else {
-                x.data_mut()
-            };
-            buf[i] += delta;
+                x.data_mut()[i] += delta;
+            }
         };
         bump(layer, x, eps);
         let yp = read(layer, x);
@@ -348,6 +381,39 @@ mod tests {
                 analytic.data()[i]
             );
         }
+    }
+
+    #[test]
+    fn fused_bias_epilogue_equals_broadcast_then_permute() {
+        let mut rng = stream_rng(6, "conv");
+        let mut layer = Conv2d::new(3, 5, 6, 6, 3, 1, 1, &mut rng).unwrap();
+        layer.bias.value = Tensor::from_slice(&[0.5, -1.25, 0.0, -0.0, 3.0]);
+        let (n, oc, positions) = (2, 5, 36);
+        // Signed zeros and infinities pin the exact add.
+        let specials = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY];
+        let cols: Vec<f32> = (0..n * positions * oc)
+            .map(|i| match i % 7 {
+                0 => specials[(i / 7) % specials.len()],
+                _ => (i as f32 * 0.37).sin(),
+            })
+            .collect();
+        let y = Tensor::from_vec(cols, &[n * positions, oc]).unwrap();
+        let fused = layer.cols_to_nchw(&y, n);
+
+        let mut biased = y.clone();
+        biased.add_row_broadcast(&layer.bias.value).unwrap();
+        let mut expect = vec![0.0f32; n * oc * positions];
+        for i in 0..n {
+            for p in 0..positions {
+                for ch in 0..oc {
+                    expect[(i * oc + ch) * positions + p] =
+                        biased.data()[(i * positions + p) * oc + ch];
+                }
+            }
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(fused.shape(), &[n, oc, 6, 6]);
+        assert_eq!(bits(fused.data()), bits(&expect));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use deepmorph_tensor::backend::quant::{self, Precision, QuantizedMat};
-use deepmorph_tensor::backend::ComputeCtx;
+use deepmorph_tensor::backend::{ComputeCtx, PackedRhs};
 use deepmorph_tensor::{init::Init, workspace, Tensor};
 use rand::Rng;
 
@@ -16,7 +16,9 @@ use crate::{NnError, Result};
 /// Every product dispatches through the layer's [`ComputeCtx`] (scalar by
 /// default; see [`Layer::bind_compute`]). An [`Layer::apply_precision`]
 /// call with [`Precision::I8`] builds an integer weight path the eval-mode
-/// forward uses instead of the f32 GEMM.
+/// forward uses instead of the f32 GEMM. Otherwise eval-mode forwards run
+/// against the weights packed once for the bound backend; every weight or
+/// context change drops the packed copy.
 #[derive(Debug)]
 pub struct Dense {
     name: String,
@@ -27,6 +29,11 @@ pub struct Dense {
     cached_input: Option<Tensor>,
     ctx: ComputeCtx,
     qweight: Option<QuantizedMat>,
+    /// `weight` packed for `ctx`'s backend by the first eval-mode f32/f16
+    /// forward; dropped by everything that can change the weights or the
+    /// backend ([`Layer::visit_params`], [`Layer::bind_compute`],
+    /// [`Layer::apply_precision`]).
+    packed_weight: Option<PackedRhs<'static>>,
 }
 
 impl Dense {
@@ -58,6 +65,7 @@ impl Dense {
             cached_input: None,
             ctx: ComputeCtx::default(),
             qweight: None,
+            packed_weight: None,
         }
     }
 
@@ -75,6 +83,14 @@ impl Dense {
     pub fn weight(&self) -> &Tensor {
         &self.weight.value
     }
+
+    /// Returns the packed weight (if any) to the workspace arena; the next
+    /// eval forward packs the current weights again.
+    fn drop_packed_weight(&mut self) {
+        if let Some(packed) = self.packed_weight.take() {
+            packed.recycle();
+        }
+    }
 }
 
 impl Layer for Dense {
@@ -85,18 +101,22 @@ impl Layer for Dense {
     fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Result<Tensor> {
         let x = single_input(inputs, &self.name)?;
         x.expect_rank(2, "dense forward")?;
-        let quantized = self
-            .qweight
-            .as_ref()
-            .filter(|q| mode == Mode::Eval && x.shape()[1] == q.cols());
-        let mut y = match quantized {
-            Some(q) => {
+        let quantized = self.qweight.as_ref().filter(|q| x.shape()[1] == q.cols());
+        let mut y = match (mode, quantized) {
+            (Mode::Eval, Some(q)) => {
                 let m = x.shape()[0];
                 let mut y = workspace::tensor_raw(&[m, self.out_features]);
                 quant::qgemm_nt(x.data(), q, y.data_mut(), m);
                 y
             }
-            None => self.ctx.matmul_nt(x, &self.weight.value)?,
+            (Mode::Eval, None) => {
+                let packed = match &mut self.packed_weight {
+                    Some(packed) => packed,
+                    slot => slot.insert(self.ctx.pack_nt(&self.weight.value)?),
+                };
+                self.ctx.matmul_nt_packed(x, packed)?
+            }
+            (Mode::Train, _) => self.ctx.matmul_nt(x, &self.weight.value)?,
         };
         y.add_row_broadcast(&self.bias.value)?;
         if mode == Mode::Train {
@@ -128,6 +148,7 @@ impl Layer for Dense {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.drop_packed_weight();
         visitor(&mut self.weight);
         visitor(&mut self.bias);
     }
@@ -137,10 +158,12 @@ impl Layer for Dense {
     }
 
     fn bind_compute(&mut self, ctx: &ComputeCtx) {
+        self.drop_packed_weight();
         self.ctx = ctx.clone();
     }
 
     fn apply_precision(&mut self, precision: Precision) -> Result<()> {
+        self.drop_packed_weight();
         match precision {
             Precision::F32 => self.qweight = None,
             Precision::F16 => {
@@ -238,14 +261,24 @@ mod tests {
         let _ = layer.backward(&gout).unwrap();
         let analytic = layer.weight.grad.clone();
 
+        // Weights change through `visit_params`, as an optimizer's do, so
+        // the eval forward's packed copy is dropped.
+        let set = |layer: &mut Dense, i: usize, v: f32| {
+            let mut first = true;
+            layer.visit_params(&mut |p| {
+                if std::mem::take(&mut first) {
+                    p.value.data_mut()[i] = v;
+                }
+            });
+        };
         let eps = 1e-3;
         for i in 0..layer.weight.value.len() {
             let orig = layer.weight.value.data()[i];
-            layer.weight.value.data_mut()[i] = orig + eps;
+            set(&mut layer, i, orig + eps);
             let yp = layer.forward(&[&x], Mode::Eval).unwrap().sum();
-            layer.weight.value.data_mut()[i] = orig - eps;
+            set(&mut layer, i, orig - eps);
             let ym = layer.forward(&[&x], Mode::Eval).unwrap().sum();
-            layer.weight.value.data_mut()[i] = orig;
+            set(&mut layer, i, orig);
             let num = (yp - ym) / (2.0 * eps);
             assert!(
                 (num - analytic.data()[i]).abs() < 1e-2,

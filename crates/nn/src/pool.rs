@@ -2,7 +2,7 @@
 
 use deepmorph_tensor::conv::{
     avgpool2d, avgpool2d_backward, global_avg_pool, global_avg_pool_backward, maxpool2d_backward,
-    maxpool2d_into, PoolGeometry,
+    maxpool2d_eval_into, maxpool2d_into, PoolGeometry,
 };
 use deepmorph_tensor::{workspace, Tensor};
 
@@ -13,8 +13,9 @@ use crate::{NnError, Result};
 /// Max pooling over square windows of an NCHW tensor.
 ///
 /// The argmax routing table lives in a persistent per-layer buffer that is
-/// overwritten each batch, so a warm forward/backward step performs no
-/// heap allocations.
+/// overwritten each training batch, so a warm forward/backward step
+/// performs no heap allocations. Eval-mode forwards write no routing
+/// table, so they cannot clobber the one a pending backward needs.
 #[derive(Debug)]
 pub struct MaxPool2d {
     name: String,
@@ -22,10 +23,6 @@ pub struct MaxPool2d {
     /// Argmax routing table of the last **training** forward (what
     /// backward consumes).
     argmax: Vec<usize>,
-    /// Scratch table for eval-mode forwards, so evaluating between a
-    /// training forward and its backward cannot clobber the cached
-    /// routing.
-    eval_argmax: Vec<usize>,
     active: bool,
 }
 
@@ -47,7 +44,6 @@ impl MaxPool2d {
             name: format!("maxpool[{window}x{window} s{stride} @{in_h}x{in_w}]"),
             geo,
             argmax: Vec::new(),
-            eval_argmax: Vec::new(),
             active: false,
         })
     }
@@ -69,16 +65,13 @@ impl Layer for MaxPool2d {
         let n = x.shape()[0];
         let mut out =
             workspace::tensor_raw(&[n, self.geo.channels, self.geo.out_h, self.geo.out_w]);
-        let argmax = if mode == Mode::Train {
-            &mut self.argmax
-        } else {
-            &mut self.eval_argmax
-        };
-        argmax.resize(out.len(), 0);
-        maxpool2d_into(x, &self.geo, out.data_mut(), argmax)?;
-        if mode == Mode::Train {
-            self.active = true;
+        if mode == Mode::Eval {
+            maxpool2d_eval_into(x, &self.geo, out.data_mut())?;
+            return Ok(out);
         }
+        self.argmax.resize(out.len(), 0);
+        maxpool2d_into(x, &self.geo, out.data_mut(), &mut self.argmax)?;
+        self.active = true;
         Ok(out)
     }
 
@@ -98,7 +91,6 @@ impl Layer for MaxPool2d {
 
     fn clear_cache(&mut self) {
         self.argmax = Vec::new();
-        self.eval_argmax = Vec::new();
         self.active = false;
     }
 }

@@ -206,7 +206,8 @@ impl Client {
         // receive timeout alone would reset on every partial read, so a
         // response trickling in against the nonblocking server could
         // wait far past the configured timeout.
-        let response_deadline = Instant::now() + timeout.max(Duration::from_millis(1));
+        let timeout = timeout.max(Duration::from_millis(1));
+        let response_deadline = Instant::now() + timeout;
 
         let id = self.next_id;
         self.next_id += 1;
@@ -214,7 +215,7 @@ impl Client {
 
         let response = loop {
             let mut prefix = [0u8; 4];
-            read_full(&mut self.stream, &mut prefix, response_deadline)?;
+            read_full(&mut self.stream, &mut prefix, response_deadline, timeout)?;
             let len = u32::from_le_bytes(prefix) as usize;
             if len > MAX_FRAME_BYTES {
                 return Err(ServeError::Protocol {
@@ -222,7 +223,7 @@ impl Client {
                 });
             }
             let mut frame = vec![0u8; len];
-            read_full(&mut self.stream, &mut frame, response_deadline)?;
+            read_full(&mut self.stream, &mut frame, response_deadline, timeout)?;
             let (echoed, response) = decode_response(&frame)?;
             // A frame older than this request is a straggler answer to a
             // call we abandoned (its deadline lapsed locally); drop it
@@ -556,8 +557,14 @@ fn write_full(stream: &mut TcpStream, mut buf: &[u8]) -> ServeResult<()> {
 /// acts as a poll tick against one absolute `deadline`, so a response
 /// arriving in arbitrarily small chunks neither errors out mid-frame
 /// (desyncing the stream) nor extends the total wait beyond the
-/// caller's timeout.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> ServeResult<()> {
+/// caller's timeout. When the deadline passes, the error names the
+/// `timeout` and how much of the frame had arrived.
+fn read_full(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+    timeout: Duration,
+) -> ServeResult<()> {
     let mut filled = 0;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
@@ -573,7 +580,13 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> Serve
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 if Instant::now() >= deadline {
-                    return Err(e.into());
+                    return Err(ServeError::Io {
+                        message: format!(
+                            "no response arrived within the response timeout of {timeout:?} \
+                             ({filled}/{} bytes of the frame read)",
+                            buf.len()
+                        ),
+                    });
                 }
             }
             Err(e) => return Err(e.into()),
@@ -614,6 +627,37 @@ mod tests {
             ..policy
         };
         assert_ne!(policy.backoff(3), other.backoff(3));
+    }
+
+    #[test]
+    fn silent_server_times_out_with_a_typed_message() {
+        // A listener that accepts and never answers: the call must give
+        // up at the configured response timeout and say so.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = ClientConfig {
+            response_timeout: Duration::from_millis(200),
+            ..ClientConfig::default()
+        };
+        let mut client = Client::connect_with(addr, config).unwrap();
+        let (_peer, _) = listener.accept().unwrap();
+        let start = Instant::now();
+        let err = client.ping().unwrap_err();
+        let waited = start.elapsed();
+        let ServeError::Io { message } = &err else {
+            panic!("expected an io error, got {err}");
+        };
+        assert!(
+            message.contains("no response arrived within the response timeout of 200ms")
+                && message.contains("(0/4 bytes of the frame read)"),
+            "{message}"
+        );
+        assert!(
+            waited >= Duration::from_millis(200),
+            "gave up after {waited:?}"
+        );
+        assert!(waited < Duration::from_secs(30), "waited {waited:?}");
+        assert!(Client::retryable_error(&err));
     }
 
     #[test]

@@ -2,12 +2,17 @@
 //!
 //! Every dense product in the workspace — the matmul family and the
 //! im2col'd convolution — dispatches through the [`Backend`] trait's one
-//! kernel, [`Backend::gemm`]. The descriptor every backend consumes is
-//! a [`GemmSpec`]: dimensions plus per-operand [`MatLayout`]s and a
-//! fan-out hint, replacing the historical `(a_transposed, b_transposed)`
-//! boolean-flag call surface. The raw kernel entry points are private to
-//! this crate; [`Tensor`]'s `matmul*` methods and
-//! [`ComputeCtx`] are the only ways in.
+//! kernel, [`Backend::gemm`], which packs the rhs into the backend's
+//! panel layout ([`Backend::pack_rhs`]) and runs the packed kernel
+//! ([`Backend::gemm_packed`]). A caller whose rhs does not change between
+//! products (a layer's weights in an eval forward) packs it once into a
+//! [`PackedRhs`] and calls the packed kernel directly; the product is
+//! bitwise the one [`Backend::gemm`] computes. The descriptor every
+//! backend consumes is a [`GemmSpec`]: dimensions plus per-operand
+//! [`MatLayout`]s and a fan-out hint, replacing the historical
+//! `(a_transposed, b_transposed)` boolean-flag call surface. The raw
+//! kernel entry points are private to this crate; [`Tensor`]'s `matmul*`
+//! methods and [`ComputeCtx`] are the only ways in.
 //!
 //! Two implementations exist:
 //!
@@ -32,6 +37,7 @@
 //! bitwise-unchanged until a caller opts a context in via
 //! [`ComputeCtx::auto`], [`select`], or `DEEPMORPH_BACKEND`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
@@ -171,6 +177,136 @@ impl GemmSpec {
         assert_eq!(b.len(), self.rhs_len(), "gemm: rhs length");
         assert_eq!(out.len(), self.out_len(), "gemm: out length");
     }
+
+    /// [`GemmSpec::check`] for a packed rhs: its dimensions and source
+    /// layout must be the spec's (the layout carries the zero-skip
+    /// contract).
+    pub(crate) fn check_packed(&self, a: &[f32], b: &PackedRhs<'_>, out: &[f32]) {
+        assert_eq!(a.len(), self.lhs_len(), "gemm: lhs length");
+        assert_eq!((b.k(), b.n()), (self.k, self.n), "gemm: packed rhs shape");
+        assert_eq!(b.layout(), self.rhs, "gemm: packed rhs layout");
+        assert_eq!(out.len(), self.out_len(), "gemm: out length");
+    }
+}
+
+/// A GEMM rhs `B[k, n]` packed into a backend's panel layout, so a
+/// constant operand is laid out once and reused across products
+/// ([`Backend::pack_rhs`], [`Backend::gemm_packed`];
+/// [`ComputeCtx::pack_nt`] for a layer's weights).
+///
+/// The rows of `B` are split into blocks of `kc` rows; each block holds
+/// the columns as `nr`-wide panels stored row-major, back to back (the
+/// last panel narrower, or zero-padded to `nr` lanes when `padded`).
+/// The scalar reference packs one block of 512-wide panels and borrows a
+/// row-major rhs that already has that layout; the SIMD backend packs
+/// `kc`-deep blocks of 16-lane micro-panels.
+///
+/// A packed rhs records the layout `B` was stored in, because that layout
+/// carries the zero-skip contract (see [`GemmSpec`]). It does not track
+/// its source: whoever caches one must drop it when the source changes.
+#[derive(Debug)]
+pub struct PackedRhs<'a> {
+    k: usize,
+    n: usize,
+    layout: MatLayout,
+    kc: usize,
+    nr: usize,
+    padded: bool,
+    data: Cow<'a, [f32]>,
+}
+
+impl<'a> PackedRhs<'a> {
+    pub(crate) fn from_parts(
+        k: usize,
+        n: usize,
+        layout: MatLayout,
+        kc: usize,
+        nr: usize,
+        padded: bool,
+        data: Cow<'a, [f32]>,
+    ) -> Self {
+        PackedRhs {
+            k,
+            n,
+            layout,
+            kc,
+            nr,
+            padded,
+            data,
+        }
+    }
+
+    /// Inner (contraction) dimension.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Output columns.
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The layout the source operand was stored in.
+    pub(crate) fn layout(&self) -> MatLayout {
+        self.layout
+    }
+
+    /// Rows per block.
+    pub(crate) fn kc(&self) -> usize {
+        self.kc
+    }
+
+    /// Panel width in lanes.
+    pub(crate) fn nr(&self) -> usize {
+        self.nr
+    }
+
+    /// `true` when every panel is zero-padded to `nr` lanes.
+    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
+    pub(crate) fn padded(&self) -> bool {
+        self.padded
+    }
+
+    /// `true` when the packed form borrows its source instead of holding
+    /// a copy.
+    #[cfg(test)]
+    pub(crate) fn is_borrowed(&self) -> bool {
+        matches!(self.data, Cow::Borrowed(_))
+    }
+
+    /// The panel of rows `pc..pc + kc` and columns starting at `j0`
+    /// (`pc`, `j0` block and panel starts), with its row stride.
+    pub(crate) fn panel(&self, pc: usize, j0: usize) -> (&[f32], usize) {
+        let kc_eff = self.kc.min(self.k - pc);
+        let stride = if self.padded {
+            self.nr
+        } else {
+            self.nr.min(self.n - j0)
+        };
+        let n_stored = if self.padded {
+            self.n.div_ceil(self.nr) * self.nr
+        } else {
+            self.n
+        };
+        let start = pc * n_stored + j0 * kc_eff;
+        (&self.data[start..start + kc_eff * stride], stride)
+    }
+
+    /// A packed rhs that owns its elements (copying a borrowed source), to
+    /// keep across products.
+    pub(crate) fn into_owned(self) -> PackedRhs<'static> {
+        PackedRhs {
+            data: Cow::Owned(self.data.into_owned()),
+            ..self
+        }
+    }
+
+    /// Returns an owned buffer to the thread's workspace arena.
+    pub fn recycle(self) {
+        if let Cow::Owned(buf) = self.data {
+            workspace::recycle(buf);
+        }
+    }
 }
 
 /// A compute backend: the kernels behind every layer forward/backward.
@@ -182,12 +318,37 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Stable identifier (used in logs, benches, and tuning-file keys).
     fn name(&self) -> &'static str;
 
-    /// Accumulates the product described by `spec` into `out`.
+    /// Packs the rhs `b` of a `k × n` product (stored as `layout` says)
+    /// into this backend's panel layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k · n`.
+    fn pack_rhs<'a>(&self, k: usize, n: usize, layout: MatLayout, b: &'a [f32]) -> PackedRhs<'a>;
+
+    /// Accumulates the product described by `spec` into `out`, against a
+    /// rhs packed by this backend's [`Backend::pack_rhs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lhs or output length, or the packed rhs's shape or
+    /// layout, disagree with the spec, or if another backend packed it in
+    /// a layout this one cannot read.
+    fn gemm_packed(&self, spec: &GemmSpec, a: &[f32], b: &PackedRhs<'_>, out: &mut [f32]);
+
+    /// Accumulates the product described by `spec` into `out`: packs the
+    /// rhs, runs the packed kernel, and returns any copy to the
+    /// workspace.
     ///
     /// # Panics
     ///
     /// Panics if slice lengths disagree with the spec.
-    fn gemm(&self, spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]);
+    fn gemm(&self, spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]) {
+        spec.check(a, b, out);
+        let packed = self.pack_rhs(spec.k, spec.n, spec.rhs, b);
+        self.gemm_packed(spec, a, &packed, out);
+        packed.recycle();
+    }
 }
 
 /// Shared, cheaply clonable handle to a backend.
@@ -204,40 +365,17 @@ impl Backend for ScalarBackend {
         "scalar"
     }
 
-    fn gemm(&self, spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]) {
-        spec.check(a, b, out);
+    fn pack_rhs<'a>(&self, k: usize, n: usize, layout: MatLayout, b: &'a [f32]) -> PackedRhs<'a> {
+        crate::gemm::pack_rhs(k, n, layout, b, k, crate::gemm::PANEL, false)
+    }
+
+    /// Reads every panel geometry, so it also runs products whose rhs the
+    /// SIMD backend packed.
+    fn gemm_packed(&self, spec: &GemmSpec, a: &[f32], b: &PackedRhs<'_>, out: &mut [f32]) {
         // Per-shape kernel timing; `None` (one relaxed load) unless
         // telemetry is armed and `DEEPMORPH_KERNEL_TIMING=1`.
         let _timer = deepmorph_telemetry::kernel_timer(spec.m, spec.k, spec.n);
-        use crate::gemm::{gemm_into, GemmOp};
-        match (spec.lhs, spec.rhs) {
-            (MatLayout::RowMajor, MatLayout::RowMajor) => {
-                gemm_into(GemmOp::NN, a, b, out, spec.m, spec.k, spec.n, spec.parallel);
-            }
-            (MatLayout::RowMajor, MatLayout::Transposed) => {
-                gemm_into(GemmOp::NT, a, b, out, spec.m, spec.k, spec.n, spec.parallel);
-            }
-            (MatLayout::Transposed, MatLayout::RowMajor) => {
-                gemm_into(GemmOp::TN, a, b, out, spec.m, spec.k, spec.n, spec.parallel);
-            }
-            (MatLayout::Transposed, MatLayout::Transposed) => {
-                // Never on a hot path (no layer emits it); define it by
-                // materializing the lhs row-major, then running the NT
-                // reference kernel — semantics documented on `GemmSpec`.
-                let packed = crate::gemm::pack_a_transposed(a, spec.m, spec.k);
-                gemm_into(
-                    GemmOp::NT,
-                    &packed,
-                    b,
-                    out,
-                    spec.m,
-                    spec.k,
-                    spec.n,
-                    spec.parallel,
-                );
-                workspace::recycle(packed);
-            }
-        }
+        crate::gemm::gemm_packed_into(spec, a, b, out);
     }
 }
 
@@ -427,6 +565,49 @@ impl ComputeCtx {
             MatLayout::RowMajor,
             "matmul_tn",
         )
+    }
+
+    /// Packs `b`, a constant `[n, k]` rhs of [`ComputeCtx::matmul_nt`]
+    /// (a `Dense`/`Conv2d` weight), once for repeated products on this
+    /// context's backend ([`ComputeCtx::matmul_nt_packed`]). The packed
+    /// copy does not follow later changes to `b`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for a non-matrix.
+    pub fn pack_nt(&self, b: &Tensor) -> Result<PackedRhs<'static>, TensorError> {
+        b.expect_rank(2, "pack_nt")?;
+        let (n, k) = (b.shape()[0], b.shape()[1]);
+        let packed = self.backend.pack_rhs(k, n, MatLayout::Transposed, b.data());
+        Ok(packed.into_owned())
+    }
+
+    /// `A @ Bᵀ` against a `b` packed by [`ComputeCtx::pack_nt`] on this
+    /// context: bitwise what [`ComputeCtx::matmul_nt`] computes from the
+    /// unpacked `b`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] or
+    /// [`TensorError::MatmulDimMismatch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` was packed by another backend or from a rhs stored
+    /// row-major.
+    pub fn matmul_nt_packed(&self, a: &Tensor, b: &PackedRhs<'_>) -> Result<Tensor, TensorError> {
+        a.expect_rank(2, "matmul_nt_packed")?;
+        let (m, k) = (a.shape()[0], a.shape()[1]);
+        if k != b.k() {
+            return Err(TensorError::MatmulDimMismatch {
+                lhs: [m, k],
+                rhs: [b.k(), b.n()],
+            });
+        }
+        let spec = GemmSpec::nt(m, k, b.n()).parallel_worthwhile();
+        let mut out = workspace::tensor_zeroed(&[m, spec.n]);
+        self.backend.gemm_packed(&spec, a.data(), b, out.data_mut());
+        Ok(out)
     }
 
     fn product(

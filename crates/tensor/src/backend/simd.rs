@@ -1,9 +1,11 @@
 //! AVX2/FMA register-blocked GEMM microkernel (feature `simd`, x86_64).
 //!
-//! Classic three-level blocking: the rhs is packed once into `NR`-wide
-//! micro-panels (zero-padded at the edge), then each `mc`-row strip of the
-//! output packs its lhs block into `MR`-row micro-panels and walks
-//! `MR × NR` output tiles. The microkernel holds one tile in registers —
+//! Classic three-level blocking: the rhs is packed once into `kc`-deep
+//! blocks of `NR`-wide micro-panels (zero-padded at the edge; a constant
+//! rhs can stay packed across calls, see [`Backend::pack_rhs`]), then
+//! each `mc`-row strip of the output packs its lhs block into `MR`-row
+//! micro-panels and walks `MR × NR` output tiles. The microkernel holds
+//! one tile in registers —
 //! `MR = 6` rows × `NR = 16` columns = 12 ymm accumulators — broadcasting
 //! one lhs scalar against two rhs vectors per FMA. Block sizes `mc/kc/nc`
 //! come from [`GemmTuning`] (persisted by `calibrate gemm`, loaded at
@@ -29,7 +31,7 @@
 use std::arch::x86_64::*;
 
 use super::tune::{self, GemmTuning};
-use super::{Backend, GemmSpec, MatLayout, ScalarBackend};
+use super::{Backend, GemmSpec, MatLayout, PackedRhs, ScalarBackend};
 use crate::workspace;
 
 /// Microkernel tile rows (lhs values broadcast per step).
@@ -87,30 +89,35 @@ impl Backend for SimdBackend {
         "simd-avx2"
     }
 
-    fn gemm(&self, spec: &GemmSpec, a: &[f32], b: &[f32], out: &mut [f32]) {
-        spec.check(a, b, out);
+    fn pack_rhs<'a>(&self, k: usize, n: usize, layout: MatLayout, b: &'a [f32]) -> PackedRhs<'a> {
+        crate::gemm::pack_rhs(k, n, layout, b, self.tuning.kc, NR, true)
+    }
+
+    fn gemm_packed(&self, spec: &GemmSpec, a: &[f32], b: &PackedRhs<'_>, out: &mut [f32]) {
+        spec.check_packed(a, b, out);
         let (m, k, n) = (spec.m, spec.k, spec.n);
         if m == 0 || n == 0 || k == 0 {
             return;
         }
         if m * k * n < SIMD_MIN_FLOPS {
-            // Delegation is timed by the scalar kernel's own hook.
-            return ScalarBackend.gemm(spec, a, b, out);
+            // The scalar kernel reads the micro-panel layout as it is, so
+            // the delegated product is bitwise the scalar reference. It is
+            // timed by the scalar kernel's own hook.
+            return ScalarBackend.gemm_packed(spec, a, b, out);
         }
+        assert!(
+            b.nr() == NR && b.padded(),
+            "gemm: rhs was not packed by the SIMD backend"
+        );
         // Per-shape kernel timing; `None` (one relaxed load) unless
         // telemetry is armed and `DEEPMORPH_KERNEL_TIMING=1`.
         let _timer = deepmorph_telemetry::kernel_timer(m, k, n);
-        let GemmTuning { mc, kc, nc } = self.tuning;
-
-        // Pack the whole rhs once: per kc-block, NR-wide micro-panels,
-        // zero-padded to a full NR at the right edge.
-        let n_pad = round_up(n, NR);
-        let packed_b = pack_b(spec, b, kc, n_pad);
+        let (mc, nc) = (self.tuning.mc, self.tuning.nc);
 
         let strip = |strip_idx: usize, out_strip: &mut [f32]| {
             let i0 = strip_idx * mc;
             let rows = out_strip.len() / n;
-            process_strip(spec, a, &packed_b, out_strip, i0, rows, kc, nc, n_pad);
+            process_strip(spec, a, b, out_strip, i0, rows, nc);
         };
 
         if spec.parallel {
@@ -122,7 +129,6 @@ impl Backend for SimdBackend {
                 strip(i, chunk);
             }
         }
-        workspace::recycle(packed_b);
     }
 }
 
@@ -138,71 +144,19 @@ fn a_at(spec: &GemmSpec, a: &[f32], i: usize, p: usize) -> f32 {
     }
 }
 
-/// Packs the full rhs: kc-blocks back to back, each stored as
-/// `n_pad / NR` micro-panels of `kc_eff × NR` (panel-row `p`, then lane
-/// `j`), right edge zero-padded. Block `pc` starts at `pc · kc · n_pad`.
-fn pack_b(spec: &GemmSpec, b: &[f32], kc: usize, n_pad: usize) -> Vec<f32> {
-    let (k, n) = (spec.k, spec.n);
-    let mut dst = workspace::take_raw(k * n_pad);
-    let mut pc = 0;
-    while pc < k {
-        let kc_eff = kc.min(k - pc);
-        let block = &mut dst[pc * n_pad..pc * n_pad + kc_eff * n_pad];
-        for jm in 0..n_pad / NR {
-            let j0 = jm * NR;
-            let panel = &mut block[jm * kc_eff * NR..(jm + 1) * kc_eff * NR];
-            let full = j0 + NR <= n;
-            match spec.rhs {
-                MatLayout::RowMajor if full => {
-                    for p in 0..kc_eff {
-                        panel[p * NR..(p + 1) * NR]
-                            .copy_from_slice(&b[(pc + p) * n + j0..(pc + p) * n + j0 + NR]);
-                    }
-                }
-                MatLayout::RowMajor => {
-                    let w = n - j0;
-                    for p in 0..kc_eff {
-                        let row = &b[(pc + p) * n + j0..(pc + p) * n + n];
-                        panel[p * NR..p * NR + w].copy_from_slice(row);
-                        panel[p * NR + w..(p + 1) * NR].fill(0.0);
-                    }
-                }
-                MatLayout::Transposed => {
-                    let w = NR.min(n - j0);
-                    for jj in 0..w {
-                        let col = &b[(j0 + jj) * k + pc..(j0 + jj) * k + pc + kc_eff];
-                        for (p, &v) in col.iter().enumerate() {
-                            panel[p * NR + jj] = v;
-                        }
-                    }
-                    if w < NR {
-                        for p in 0..kc_eff {
-                            panel[p * NR + w..(p + 1) * NR].fill(0.0);
-                        }
-                    }
-                }
-            }
-        }
-        pc += kc;
-    }
-    dst
-}
-
 /// Runs every kc-block of one `rows`-row output strip starting at global
-/// row `i0`.
-#[allow(clippy::too_many_arguments)]
+/// row `i0`, against the rhs's own `kc` blocking.
 fn process_strip(
     spec: &GemmSpec,
     a: &[f32],
-    packed_b: &[f32],
+    packed_b: &PackedRhs<'_>,
     out_strip: &mut [f32],
     i0: usize,
     rows: usize,
-    kc: usize,
     nc: usize,
-    n_pad: usize,
 ) {
-    let (k, n) = (spec.k, spec.n);
+    let (k, n, kc) = (spec.k, spec.n, packed_b.kc());
+    let n_pad = round_up(n, NR);
     let m_tiles = rows.div_ceil(MR);
     let mut tile = [0.0f32; MR * NR];
     let mut pc = 0;
@@ -226,20 +180,20 @@ fn process_strip(
             }
         }
 
-        let b_block = &packed_b[pc * n_pad..pc * n_pad + kc_eff * n_pad];
         // Walk rhs micro-panels in nc-wide groups (panel stays hot across
         // the mi loop; the group bound keeps the active pack in L2).
         let mut jc = 0;
         while jc < n_pad {
             let jc_end = (jc + nc).min(n_pad);
             for jm in jc / NR..jc_end / NR {
-                let b_panel = &b_block[jm * kc_eff * NR..(jm + 1) * kc_eff * NR];
                 let j0 = jm * NR;
+                let (b_panel, _) = packed_b.panel(pc, j0);
                 let w = NR.min(n - j0);
                 for mi in 0..m_tiles {
                     let a_panel = &packed_a[mi * kc_eff * MR..(mi + 1) * kc_eff * MR];
                     // SAFETY: construction verified avx2+fma (see module
-                    // docs); panels are exactly kc_eff·MR / kc_eff·NR long.
+                    // docs); panels are exactly kc_eff·MR / kc_eff·NR long
+                    // (`gemm_packed` asserted zero-padded NR-lane panels).
                     unsafe {
                         tile_mr_nr(
                             kc_eff,

@@ -560,6 +560,77 @@ fn maxpool2d_kernel(input: &Tensor, geo: &PoolGeometry, out: &mut [f32], argmax:
     );
 }
 
+/// Eval-mode max pooling into a caller-provided buffer (fully
+/// overwritten; zero allocations): the values of [`maxpool2d`] without
+/// the argmax table only backward reads.
+///
+/// Bitwise the training forward's output: each window is scanned row by
+/// row from `-inf`, keeping a value only when it is strictly greater, so
+/// NaN is skipped, the first of equal values (`+0.0`/`-0.0`) wins, and an
+/// all-NaN window gives `-inf`. The common 2×2/stride-2 window runs a
+/// dedicated loop.
+///
+/// # Errors
+///
+/// Returns a shape error if `input` disagrees with `geo` or `out` has the
+/// wrong length.
+pub fn maxpool2d_eval_into(input: &Tensor, geo: &PoolGeometry, out: &mut [f32]) -> Result<()> {
+    let n = geo.check_input(input, "maxpool2d")?;
+    let expected = n * geo.channels * geo.out_h * geo.out_w;
+    if out.len() != expected {
+        return Err(TensorError::LengthMismatch {
+            shape: vec![n, geo.channels, geo.out_h, geo.out_w],
+            len: out.len(),
+        });
+    }
+    let (h, w) = (geo.in_h, geo.in_w);
+    let src = input.data();
+    let pair = geo.window == 2 && geo.stride == 2;
+    // One chunk per (sample, channel) output plane; pure gather.
+    crate::chunks::for_chunks_mut(
+        out,
+        geo.out_h * geo.out_w,
+        crate::chunks::PAR_GRAIN_ELEMS,
+        |chunk_idx, out_plane| {
+            let plane = &src[chunk_idx * h * w..(chunk_idx + 1) * h * w];
+            for (oy, out_row) in out_plane.chunks_exact_mut(geo.out_w).enumerate() {
+                let y0 = oy * geo.stride;
+                if pair {
+                    let top = &plane[y0 * w..(y0 + 1) * w];
+                    let bottom = &plane[(y0 + 1) * w..(y0 + 2) * w];
+                    for ((o, t), b) in out_row
+                        .iter_mut()
+                        .zip(top.chunks_exact(2))
+                        .zip(bottom.chunks_exact(2))
+                    {
+                        let mut best = f32::NEG_INFINITY;
+                        for v in [t[0], t[1], b[0], b[1]] {
+                            if v > best {
+                                best = v;
+                            }
+                        }
+                        *o = best;
+                    }
+                    continue;
+                }
+                for (ox, o) in out_row.iter_mut().enumerate() {
+                    let x0 = ox * geo.stride;
+                    let mut best = f32::NEG_INFINITY;
+                    for ky in 0..geo.window {
+                        for &v in &plane[(y0 + ky) * w + x0..(y0 + ky) * w + x0 + geo.window] {
+                            if v > best {
+                                best = v;
+                            }
+                        }
+                    }
+                    *o = best;
+                }
+            }
+        },
+    );
+    Ok(())
+}
+
 /// Backward pass of [`maxpool2d`]: routes each output gradient to the input
 /// position that produced the max. The result buffer comes from the
 /// thread's [`workspace`] arena.
@@ -864,6 +935,60 @@ mod tests {
         assert_eq!(y.data(), &out[..]);
         assert_eq!(argmax, arg);
         assert!(maxpool2d_into(&x, &g, &mut out[..3], &mut arg).is_err());
+    }
+
+    #[test]
+    fn eval_maxpool_matches_training_maxpool_bitwise() {
+        // Few distinct values, so windows are full of ties (+0.0/-0.0,
+        // repeated 1.0), NaN and -inf.
+        const VALUES: [f32; 7] = [f32::NAN, f32::NEG_INFINITY, 0.0, -0.0, 1.0, -1.0, 0.5];
+        for &(n, c, h, w, window, stride) in &[
+            (2usize, 3usize, 8usize, 8usize, 2usize, 2usize),
+            (1, 2, 7, 9, 2, 2),
+            (2, 2, 9, 9, 3, 2),
+            (2, 2, 6, 7, 2, 1),
+            (2, 1, 5, 5, 5, 1),
+            (8, 16, 32, 32, 2, 2), // large enough to fan out
+        ] {
+            let len = n * c * h * w;
+            let mut data: Vec<f32> = (0..len)
+                .map(|i| {
+                    let hash = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 45;
+                    VALUES[(hash % VALUES.len() as u64) as usize]
+                })
+                .collect();
+            // Plant an all-NaN first window and a +0.0-before--0.0 tie in
+            // the first window of the second plane.
+            for ky in 0..window {
+                for kx in 0..window {
+                    data[ky * w + kx] = f32::NAN;
+                    data[h * w + ky * w + kx] = f32::NEG_INFINITY;
+                }
+            }
+            data[h * w] = 0.0;
+            data[h * w + 1] = -0.0;
+            let x = Tensor::from_vec(data, &[n, c, h, w]).unwrap();
+            let g = PoolGeometry::new(c, h, w, window, stride).unwrap();
+            let (expect, _) = maxpool2d(&x, &g).unwrap();
+            let mut got = vec![7.0f32; expect.len()];
+            maxpool2d_eval_into(&x, &g, &mut got).unwrap();
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&got),
+                bits(expect.data()),
+                "{n}x{c}x{h}x{w} w{window} s{stride}"
+            );
+            assert_eq!(got[0], f32::NEG_INFINITY, "all-NaN window");
+            let second = g.out_h * g.out_w;
+            assert_eq!(
+                got[second].to_bits(),
+                0.0f32.to_bits(),
+                "first of +0/-0 wins"
+            );
+        }
+        let g = PoolGeometry::new(1, 4, 4, 2, 2).unwrap();
+        let x = Tensor::zeros(&[1, 1, 4, 4]);
+        assert!(maxpool2d_eval_into(&x, &g, &mut [0.0; 3]).is_err());
     }
 
     #[test]

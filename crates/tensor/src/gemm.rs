@@ -1,11 +1,19 @@
 //! Unified cache-blocked, B-panel-packed GEMM.
 //!
-//! One kernel computes all three products the network needs — `A·B`,
-//! `A·Bᵀ`, and `Aᵀ·B` — parameterized by [`GemmOp`]. Operands that would
-//! be walked with a stride are first packed into contiguous workspace
-//! buffers ([`crate::workspace`]): `Aᵀ` for [`GemmOp::TN`], `Bᵀ` for
-//! [`GemmOp::NT`], and wide `B` matrices into cache-sized column panels.
-//! After packing, every variant runs the same inner loop.
+//! One kernel computes every product the network needs — `A·B`, `A·Bᵀ`,
+//! `Aᵀ·B` and the (never hot) `Aᵀ·Bᵀ` — in two steps: [`pack_rhs`]
+//! lays the logical rhs `B[k, n]` out as contiguous column panels (a
+//! [`PackedRhs`]), then [`gemm_packed_into`] accumulates against those
+//! panels. A `Transposed` lhs is packed row-major into a workspace buffer
+//! first. A constant rhs (a layer's frozen weights) can be packed once
+//! and reused; an uncached product packs and runs in one call, copying
+//! exactly what the kernel needs (a row-major rhs that fits one panel is
+//! borrowed, not copied).
+//!
+//! The panel walk reads any [`PackedRhs`] geometry — one block of panels
+//! [`PANEL`] wide here, `kc`-deep blocks of zero-padded `NR`-wide
+//! micro-panels from the SIMD backend — so the SIMD backend can hand a
+//! product below its size threshold to this kernel without repacking.
 //!
 //! # Determinism contract
 //!
@@ -14,90 +22,127 @@
 //!
 //! * every output element accumulates its `k` terms with `p` ascending, as
 //!   a single dependent add chain;
-//! * [`GemmOp::NN`] and [`GemmOp::TN`] skip terms whose `A` coefficient is
+//! * products with a `RowMajor` rhs skip terms whose `A` coefficient is
 //!   exactly `0.0` (matching the historical reference kernels — skipping
 //!   is *not* a pure optimization, it changes `-0.0` and `NaN`/`inf`
-//!   propagation); [`GemmOp::NT`] never skips (its reference was a plain
-//!   dot product);
+//!   propagation); products with a `Transposed` rhs never skip (their
+//!   reference was a plain dot product);
 //! * the 4-step unrolled chain `(((o + a₀x₀) + a₁x₁) + a₂x₂) + a₃x₃`
-//!   performs the same adds in the same order as four single steps;
+//!   performs the same adds in the same order as four single steps, so
+//!   neither the panel width nor the depth blocking of the packed rhs
+//!   changes a result bit;
 //! * parallelism only changes which thread computes an output row, never
 //!   the order of operations within one.
 
-use crate::workspace;
+use std::borrow::Cow;
 
-/// Which operand, if any, the product uses transposed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmOp {
-    /// `out = A[m,k] · B[k,n]`, skipping zero `A` coefficients.
-    NN,
-    /// `out = A[m,k] · B[n,k]ᵀ`, no zero skipping.
-    NT,
-    /// `out = A[k,m]ᵀ · B[k,n]`, skipping zero `A` coefficients.
-    TN,
-}
+use crate::backend::{GemmSpec, MatLayout, PackedRhs};
+use crate::workspace;
 
 /// Panel width (output columns) processed per cache block. One output
 /// segment plus four packed `B` rows of this width stay inside L1.
-const PANEL: usize = 512;
+pub(crate) const PANEL: usize = 512;
 
-/// Accumulates the selected product into `out` (`m · n`, caller-zeroed for
-/// a plain product).
+/// Packs the logical rhs `B[k, n]` (stored as `layout` says) into blocks
+/// of `kc` rows, each holding `nr`-wide column panels stored row-major;
+/// with `padded`, every panel is zero-padded to a full `nr` lanes.
 ///
-/// `a` and `b` are row-major with the shapes implied by `op`; `parallel`
-/// requests fan-out over output rows (honored only when the `parallel`
-/// feature is active, enough threads exist, and the product is large
-/// enough to pay for dispatch — smaller products run inline).
+/// A row-major rhs that already is that layout (one block, one unpadded
+/// panel) is borrowed; everything else is copied into a workspace
+/// buffer.
+pub(crate) fn pack_rhs<'a>(
+    k: usize,
+    n: usize,
+    layout: MatLayout,
+    b: &'a [f32],
+    kc: usize,
+    nr: usize,
+    padded: bool,
+) -> PackedRhs<'a> {
+    assert_eq!(b.len(), k * n, "gemm: rhs length");
+    let kc = kc.clamp(1, k.max(1));
+    let nr = nr.max(1);
+    if layout == MatLayout::RowMajor && !padded && kc == k.max(1) && nr >= n {
+        return PackedRhs::from_parts(k, n, layout, kc, nr, padded, Cow::Borrowed(b));
+    }
+    let n_stored = if padded { n.div_ceil(nr) * nr } else { n };
+    let mut dst = workspace::take_raw(k * n_stored);
+    for pc in (0..k).step_by(kc) {
+        let kc_eff = kc.min(k - pc);
+        let block = &mut dst[pc * n_stored..(pc + kc_eff) * n_stored];
+        for j0 in (0..n).step_by(nr) {
+            let w = nr.min(n - j0);
+            let stride = if padded { nr } else { w };
+            let panel = &mut block[j0 * kc_eff..j0 * kc_eff + kc_eff * stride];
+            match layout {
+                MatLayout::RowMajor => {
+                    for p in 0..kc_eff {
+                        let row = &b[(pc + p) * n + j0..(pc + p) * n + j0 + w];
+                        panel[p * stride..p * stride + w].copy_from_slice(row);
+                    }
+                }
+                MatLayout::Transposed => {
+                    for jj in 0..w {
+                        let col = &b[(j0 + jj) * k + pc..(j0 + jj) * k + pc + kc_eff];
+                        for (p, &v) in col.iter().enumerate() {
+                            panel[p * stride + jj] = v;
+                        }
+                    }
+                }
+            }
+            if w < stride {
+                for p in 0..kc_eff {
+                    panel[p * stride + w..(p + 1) * stride].fill(0.0);
+                }
+            }
+        }
+    }
+    PackedRhs::from_parts(k, n, layout, kc, nr, padded, Cow::Owned(dst))
+}
+
+/// Accumulates `spec`'s product against a packed rhs into `out`
+/// (`m · n`, caller-zeroed for a plain product).
+///
+/// `spec.parallel` requests fan-out over output rows (honored only when
+/// the `parallel` feature is active and enough threads exist).
 ///
 /// # Panics
 ///
-/// Panics if slice lengths disagree with `(m, k, n)` and `op`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into(
-    op: GemmOp,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    parallel: bool,
-) {
-    assert_eq!(a.len(), m * k, "gemm: lhs length");
-    assert_eq!(b.len(), k * n, "gemm: rhs length");
-    assert_eq!(out.len(), m * n, "gemm: out length");
+/// Panics if slice lengths or the packed operand disagree with `spec`.
+pub(crate) fn gemm_packed_into(spec: &GemmSpec, a: &[f32], b: &PackedRhs<'_>, out: &mut [f32]) {
+    spec.check_packed(a, b, out);
+    let (m, k, n) = (spec.m, spec.k, spec.n);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
 
-    // Pack strided operands into contiguous workspace buffers.
-    let a_packed = match op {
-        GemmOp::TN => Some(pack_a_transposed(a, m, k)),
-        _ => None,
+    // Pack a strided lhs into a contiguous workspace buffer.
+    let a_packed = match spec.lhs {
+        MatLayout::Transposed => Some(pack_a_transposed(a, m, k)),
+        MatLayout::RowMajor => None,
     };
     let a_eff: &[f32] = a_packed.as_deref().unwrap_or(a);
 
-    let b_packed = match op {
-        GemmOp::NT => Some(pack_b_panels_transposed(b, k, n)),
-        // Row-major B is already a single contiguous panel when it fits.
-        GemmOp::NN | GemmOp::TN if n > PANEL => Some(pack_b_panels(b, k, n)),
-        _ => None,
-    };
-    let b_eff: &[f32] = b_packed.as_deref().unwrap_or(b);
-
-    let skip_zero = op != GemmOp::NT;
+    let skip_zero = spec.skips_zero_lhs();
     let row = |i: usize, out_row: &mut [f32]| {
         let a_row = &a_eff[i * k..(i + 1) * k];
-        let mut j0 = 0;
-        while j0 < n {
-            let w = PANEL.min(n - j0);
-            let panel = &b_eff[(j0 / PANEL) * k * PANEL..][..k * w];
-            accumulate_panel(a_row, panel, &mut out_row[j0..j0 + w], w, skip_zero);
-            j0 += w;
+        for pc in (0..k).step_by(b.kc()) {
+            let kc_eff = b.kc().min(k - pc);
+            for j0 in (0..n).step_by(b.nr()) {
+                let w = b.nr().min(n - j0);
+                let (panel, stride) = b.panel(pc, j0);
+                accumulate_panel(
+                    &a_row[pc..pc + kc_eff],
+                    panel,
+                    stride,
+                    &mut out_row[j0..j0 + w],
+                    skip_zero,
+                );
+            }
         }
     };
 
-    if parallel {
+    if spec.parallel {
         // Grain 0: the caller already decided this product is worth
         // fanning out; `for_chunks_mut` still falls back to the serial
         // loop when the feature is off or no extra threads exist.
@@ -111,26 +156,28 @@ pub fn gemm_into(
     if let Some(buf) = a_packed {
         workspace::recycle(buf);
     }
-    if let Some(buf) = b_packed {
-        workspace::recycle(buf);
-    }
 }
 
-/// Accumulates `out_seg[j] += Σ_p a_row[p] · panel[p·w + j]` with `p`
-/// ascending per element. Four `k` steps run as one dependent chain per
-/// element (same adds, same order, fewer L1 round-trips); when
+/// Accumulates `out_seg[j] += Σ_p a_row[p] · panel[p·stride + j]` with
+/// `p` ascending per element. Four `k` steps run as one dependent chain
+/// per element (same adds, same order, fewer L1 round-trips); when
 /// `skip_zero`, any zero coefficient in a quad falls back to skip-aware
 /// single steps, preserving the reference kernels' exact semantics.
-fn accumulate_panel(a_row: &[f32], panel: &[f32], out_seg: &mut [f32], w: usize, skip_zero: bool) {
+fn accumulate_panel(
+    a_row: &[f32],
+    panel: &[f32],
+    stride: usize,
+    out_seg: &mut [f32],
+    skip_zero: bool,
+) {
     let k = a_row.len();
+    let w = out_seg.len();
+    let b_row = |p: usize| &panel[p * stride..p * stride + w];
     let mut p = 0;
     while p + 3 < k {
         let (a0, a1, a2, a3) = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
         if !skip_zero || (a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0) {
-            let b0 = &panel[p * w..(p + 1) * w];
-            let b1 = &panel[(p + 1) * w..(p + 2) * w];
-            let b2 = &panel[(p + 2) * w..(p + 3) * w];
-            let b3 = &panel[(p + 3) * w..(p + 4) * w];
+            let (b0, b1, b2, b3) = (b_row(p), b_row(p + 1), b_row(p + 2), b_row(p + 3));
             for ((((o, &x0), &x1), &x2), &x3) in out_seg.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
             {
                 *o = (((*o + a0 * x0) + a1 * x1) + a2 * x2) + a3 * x3;
@@ -140,8 +187,7 @@ fn accumulate_panel(a_row: &[f32], panel: &[f32], out_seg: &mut [f32], w: usize,
                 if a == 0.0 {
                     continue;
                 }
-                let b_row = &panel[(p + q) * w..(p + q + 1) * w];
-                for (o, &x) in out_seg.iter_mut().zip(b_row) {
+                for (o, &x) in out_seg.iter_mut().zip(b_row(p + q)) {
                     *o += a * x;
                 }
             }
@@ -152,8 +198,7 @@ fn accumulate_panel(a_row: &[f32], panel: &[f32], out_seg: &mut [f32], w: usize,
         if skip_zero && a == 0.0 {
             continue;
         }
-        let b_row = &panel[(p + q) * w..(p + q + 1) * w];
-        for (o, &x) in out_seg.iter_mut().zip(b_row) {
+        for (o, &x) in out_seg.iter_mut().zip(b_row(p + q)) {
             *o += a * x;
         }
     }
@@ -169,43 +214,6 @@ pub(crate) fn pack_a_transposed(a: &[f32], m: usize, k: usize) -> Vec<f32> {
         for (i, &v) in src_row.iter().enumerate() {
             dst[i * k + p] = v;
         }
-    }
-    dst
-}
-
-/// Packs row-major `b` (`[k, n]`) into contiguous column panels of width
-/// [`PANEL`]: panel `q` starts at `q·k·PANEL` and stores its `k` rows
-/// (width `min(PANEL, n − q·PANEL)`) back to back.
-fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut dst = workspace::take_raw(k * n);
-    let mut j0 = 0;
-    while j0 < n {
-        let w = PANEL.min(n - j0);
-        let panel = &mut dst[(j0 / PANEL) * k * PANEL..];
-        for p in 0..k {
-            panel[p * w..(p + 1) * w].copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
-        }
-        j0 += w;
-    }
-    dst
-}
-
-/// Packs `b` (`[n, k]` row-major) as `Bᵀ` in the panel layout of
-/// [`pack_b_panels`]. Source rows stream; writes fan across one panel
-/// column.
-fn pack_b_panels_transposed(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut dst = workspace::take_raw(k * n);
-    let mut j0 = 0;
-    while j0 < n {
-        let w = PANEL.min(n - j0);
-        let panel = &mut dst[(j0 / PANEL) * k * PANEL..];
-        for jj in 0..w {
-            let src_row = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-            for (p, &v) in src_row.iter().enumerate() {
-                panel[p * w + jj] = v;
-            }
-        }
-        j0 += w;
     }
     dst
 }
@@ -236,22 +244,23 @@ mod tests {
 
     /// Independent per-element reference with the documented order and
     /// skip semantics.
-    fn naive(op: GemmOp, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    fn naive(spec: &GemmSpec, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let (m, k, n) = (spec.m, spec.k, spec.n);
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
                 for p in 0..k {
-                    let av = match op {
-                        GemmOp::TN => a[p * m + i],
-                        _ => a[i * k + p],
+                    let av = match spec.lhs {
+                        MatLayout::Transposed => a[p * m + i],
+                        MatLayout::RowMajor => a[i * k + p],
                     };
-                    if op != GemmOp::NT && av == 0.0 {
+                    if spec.skips_zero_lhs() && av == 0.0 {
                         continue;
                     }
-                    let bv = match op {
-                        GemmOp::NT => b[j * k + p],
-                        _ => b[p * n + j],
+                    let bv = match spec.rhs {
+                        MatLayout::Transposed => b[j * k + p],
+                        MatLayout::RowMajor => b[p * n + j],
                     };
                     acc += av * bv;
                 }
@@ -261,8 +270,19 @@ mod tests {
         out
     }
 
+    /// Packs with the given panel geometry and runs the packed kernel.
+    fn run(spec: &GemmSpec, a: &[f32], b: &[f32], geometry: (usize, usize, bool)) -> Vec<f32> {
+        let (kc, nr, padded) = geometry;
+        let packed = pack_rhs(spec.k, spec.n, spec.rhs, b, kc, nr, padded);
+        let mut out = vec![0.0f32; spec.out_len()];
+        gemm_packed_into(spec, a, &packed, &mut out);
+        packed.recycle();
+        out
+    }
+
     #[test]
     fn matches_naive_reference_bitwise() {
+        const LAYOUTS: [MatLayout; 2] = [MatLayout::RowMajor, MatLayout::Transposed];
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (3, 5, 7),
@@ -271,22 +291,29 @@ mod tests {
             (4, 6, PANEL + 3), // exercises the panel split
             (2, 70, 2 * PANEL + 1),
         ] {
-            for op in [GemmOp::NN, GemmOp::NT, GemmOp::TN] {
-                for zeros in [false, true] {
-                    let mut a = synth(m * k, 1);
-                    let mut b = synth(k * n, 2);
-                    if zeros {
-                        a = with_zeros(a);
-                        b = with_zeros(b);
-                    }
-                    let expect = naive(op, &a, &b, m, k, n);
-                    for parallel in [false, true] {
-                        let mut out = vec![0.0f32; m * n];
-                        gemm_into(op, &a, &b, &mut out, m, k, n, parallel);
-                        assert_eq!(
-                            out, expect,
-                            "{op:?} {m}x{k}x{n} zeros={zeros} parallel={parallel}"
-                        );
+            for lhs in LAYOUTS {
+                for rhs in LAYOUTS {
+                    for zeros in [false, true] {
+                        let spec = GemmSpec::with_layouts(m, k, n, lhs, rhs);
+                        let mut a = synth(m * k, 1);
+                        let mut b = synth(k * n, 2);
+                        if zeros {
+                            a = with_zeros(a);
+                            b = with_zeros(b);
+                        }
+                        let expect = naive(&spec, &a, &b);
+                        // The reference geometry, and the SIMD backend's
+                        // depth-blocked, zero-padded micro-panels: the
+                        // panel walk must not change a bit.
+                        for geometry in [(k, PANEL, false), (5, 16, true), (3, 7, false)] {
+                            for parallel in [false, true] {
+                                let got = run(&spec.parallel(parallel), &a, &b, geometry);
+                                assert_eq!(
+                                    got, expect,
+                                    "{spec:?} zeros={zeros} geometry={geometry:?}"
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -294,11 +321,21 @@ mod tests {
     }
 
     #[test]
+    fn row_major_rhs_in_one_panel_is_borrowed() {
+        let b = synth(3 * 4, 9);
+        let packed = pack_rhs(3, 4, MatLayout::RowMajor, &b, 3, PANEL, false);
+        assert!(packed.is_borrowed());
+        let packed = pack_rhs(3, 4, MatLayout::Transposed, &b, 3, PANEL, false);
+        assert!(!packed.is_borrowed());
+        packed.recycle();
+    }
+
+    #[test]
     fn empty_dims_are_no_ops() {
-        let mut out = vec![1.0f32; 0];
-        gemm_into(GemmOp::NN, &[], &[], &mut out, 0, 0, 0, false);
+        assert!(run(&GemmSpec::nn(0, 0, 0), &[], &[], (0, PANEL, false)).is_empty());
+        let packed = pack_rhs(0, 2, MatLayout::RowMajor, &[], 0, PANEL, false);
         let mut out = vec![0.0f32; 4];
-        gemm_into(GemmOp::NN, &[], &[], &mut out, 2, 0, 2, false);
+        gemm_packed_into(&GemmSpec::nn(2, 0, 2), &[], &packed, &mut out);
         assert_eq!(out, vec![0.0; 4]);
     }
 
@@ -306,8 +343,9 @@ mod tests {
     fn accumulates_into_existing_output() {
         let a = vec![1.0f32, 2.0];
         let b = vec![3.0f32, 4.0];
+        let packed = pack_rhs(2, 1, MatLayout::RowMajor, &b, 2, PANEL, false);
         let mut out = vec![10.0f32];
-        gemm_into(GemmOp::NN, &a, &b, &mut out, 1, 2, 1, false);
+        gemm_packed_into(&GemmSpec::nn(1, 2, 1), &a, &packed, &mut out);
         assert_eq!(out, vec![10.0 + 3.0 + 8.0]);
     }
 }

@@ -16,10 +16,15 @@
 //!    it) may re-associate the contraction, so it is held to the
 //!    standard forward error bound of a length-`k` dot product rather
 //!    than bitwise equality.
+//!
+//! Across all of them, a product against a rhs packed once
+//! (`Backend::pack_rhs` + `Backend::gemm_packed`) is bitwise the
+//! backend's own `gemm`.
 
-use deepmorph_tensor::backend::{self, ComputeCtx, GemmSpec, MatLayout};
+use deepmorph_tensor::backend::{self, BackendHandle, ComputeCtx, GemmSpec, MatLayout};
 use deepmorph_tensor::Tensor;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// FNV-1a over the output bit patterns: any single-bit drift anywhere in
 /// the result flips the digest.
@@ -221,6 +226,100 @@ proptest! {
                     backend.name()
                 );
             }
+        }
+    }
+}
+
+/// Every backend this build can run. On SIMD builds this adds a tuning
+/// whose depth block (`kc` = 24) is far below the tested `k`, so packed
+/// operands span several depth blocks.
+fn backends() -> Vec<BackendHandle> {
+    #[allow(unused_mut)]
+    let mut all = vec![backend::scalar(), backend::simd_or_scalar()];
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    all.extend(backend::simd_with_tuning(
+        deepmorph_tensor::backend::tune::GemmTuning {
+            mc: 12,
+            kc: 24,
+            nc: 32,
+        },
+    ));
+    all
+}
+
+/// `gemm_packed` against `pack_rhs` must equal `gemm` bit for bit, serial
+/// and parallel, accumulating into a non-zero output, and a packed rhs
+/// must serve a second lhs unchanged.
+fn check_packed_matches_gemm(
+    be: &BackendHandle,
+    spec: &GemmSpec,
+    salt: u64,
+) -> Result<(), TestCaseError> {
+    let a = fill(spec.lhs_len(), salt);
+    let a2 = fill(spec.lhs_len(), salt.wrapping_add(5));
+    let b = fill(spec.rhs_len(), salt.wrapping_add(7));
+    let init = fill(spec.out_len(), salt.wrapping_add(3));
+    let packed = be.pack_rhs(spec.k, spec.n, spec.rhs, &b);
+    for spec in [*spec, spec.parallel(true)] {
+        for lhs in [&a, &a2] {
+            let mut expect = init.clone();
+            be.gemm(&spec, lhs, &b, &mut expect);
+            let mut got = init.clone();
+            be.gemm_packed(&spec, lhs, &packed, &mut got);
+            for (i, (x, y)) in got.iter().zip(&expect).enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{} {:?} elem {}",
+                    be.name(),
+                    spec,
+                    i
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The packed-rhs corners, pinned by hand: `n` not a multiple of the
+/// 16-lane micro-panel, `k` above the default and the test tuning's depth
+/// block (256 and 24), and `m·k·n` on both sides of the SIMD backend's
+/// 8192 multiply-accumulate scalar-fallback threshold.
+#[test]
+fn packed_rhs_corners_match_gemm_bitwise() {
+    for &(m, k, n) in &[
+        (1usize, 300usize, 10usize), // 3000 MACs: scalar fallback, k > kc
+        (2, 5, 3),
+        (7, 300, 37), // 77700 MACs: SIMD kernel, n % 16 != 0, k > kc
+        (33, 260, 16),
+        (4, 256, 8), // 8192 MACs: exactly the threshold
+        (4, 255, 8), // 8160 MACs: just below it
+    ] {
+        for (lhs, rhs) in LAYOUTS {
+            let spec = GemmSpec::with_layouts(m, k, n, lhs, rhs);
+            for be in backends() {
+                check_packed_matches_gemm(&be, &spec, 17).unwrap();
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A rhs packed once gives the bits `gemm` gives, on every backend,
+    /// layout and shape (`m·k·n` spans 1 to ~250k multiply-accumulates,
+    /// so both sides of the SIMD fallback threshold; `k` up to 300 spans
+    /// several depth blocks).
+    #[test]
+    fn packed_rhs_gemm_is_bitwise_gemm(
+        m in 1usize..24, k in 1usize..300, n in 1usize..40,
+        layouts in 0usize..4, salt in 0u64..1000,
+    ) {
+        let (lhs, rhs) = LAYOUTS[layouts];
+        let spec = GemmSpec::with_layouts(m, k, n, lhs, rhs);
+        for be in backends() {
+            check_packed_matches_gemm(&be, &spec, salt)?;
         }
     }
 }

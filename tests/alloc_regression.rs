@@ -4,8 +4,9 @@
 //! zero-allocation steady state: once a hot loop has warmed the
 //! thread-local arena, every kernel draws its buffers from free lists and
 //! recycles them back. This test pins that contract with a counting global
-//! allocator: after warm-up, a full conv forward+backward training step
-//! and a dispatching matmul must perform **zero** heap allocations.
+//! allocator: after warm-up, a full conv forward+backward training step,
+//! a dispatching matmul and an eval forward against packed weights must
+//! perform **zero** heap allocations.
 //!
 //! The whole file is a single `#[test]` so no sibling test can allocate
 //! concurrently; worker-pool threads only ever process borrowed chunks
@@ -77,6 +78,47 @@ fn conv_step(layer: &mut Conv2d, x: &Tensor, grad: &Tensor) {
     workspace::recycle_tensor(gx);
 }
 
+/// The serving shape of an eval forward: conv → relu → maxpool → dense.
+struct EvalNet {
+    conv: Conv2d,
+    relu: ReLU,
+    pool: MaxPool2d,
+    flatten: Flatten,
+    dense: Dense,
+}
+
+impl EvalNet {
+    fn new(ctx: &ComputeCtx) -> Self {
+        let mut rng = stream_rng(2, "alloc-regression-eval");
+        let mut net = EvalNet {
+            conv: Conv2d::new(8, 16, 16, 16, 3, 1, 1, &mut rng).unwrap(),
+            relu: ReLU::new(),
+            pool: MaxPool2d::new(16, 16, 16, 2, 2).unwrap(),
+            flatten: Flatten::new(),
+            dense: Dense::new(16 * 8 * 8, 10, &mut rng),
+        };
+        net.conv.bind_compute(ctx);
+        net.dense.bind_compute(ctx);
+        net
+    }
+
+    /// One eval forward, recycling every intermediate and the logits.
+    fn forward(&mut self, x: &Tensor) {
+        let mut h = self.conv.forward(&[x], Mode::Eval).unwrap();
+        let stages: [&mut dyn Layer; 4] = [
+            &mut self.relu,
+            &mut self.pool,
+            &mut self.flatten,
+            &mut self.dense,
+        ];
+        for layer in stages {
+            let next = layer.forward(&[&h], Mode::Eval).unwrap();
+            workspace::recycle_tensor(std::mem::replace(&mut h, next));
+        }
+        workspace::recycle_tensor(h);
+    }
+}
+
 fn matmul_step(a: &Tensor, b: &Tensor) {
     let c = a.matmul(b).unwrap();
     workspace::recycle_tensor(c);
@@ -126,6 +168,23 @@ fn warm_conv_step_and_matmul_do_not_allocate() {
         after_serial - after_matmul,
         0,
         "warm serial matmul allocated"
+    );
+
+    // Measured window: a warm eval forward on the fastest backend this
+    // build offers. The first forwards pack the conv and dense weights
+    // once; after that the packed copies, the argmax-free eval maxpool
+    // and the conv's fused bias epilogue allocate nothing.
+    let mut net = EvalNet::new(&ComputeCtx::auto());
+    let xe = synth_tensor(&[4, 8, 16, 16], 7);
+    for _ in 0..3 {
+        net.forward(&xe);
+    }
+    let before_eval = allocations();
+    net.forward(&xe);
+    assert_eq!(
+        allocations() - before_eval,
+        0,
+        "warm eval forward (packed weights) allocated"
     );
 
     // Telemetry hot path: with the registry armed, recording request
